@@ -32,10 +32,14 @@ REP006    No silent exception swallowing — handlers whose body only
           discards the error, and bare/over-broad ``except`` clauses
           that neither re-raise nor surface the failure; degradation
           must be reported, never hidden (see :mod:`repro.runtime`).
-REP007    No per-record ``policy.propensity(...)`` / ``model.predict(...)``
-          calls inside loops in ``core/estimators`` — the batch APIs
-          (``propensity_batch``, ``predict_batch``, ``Trace.columns()``)
-          evaluate the whole trace in one vectorised pass.
+REP007    No per-record ``policy.propensity(...)`` /
+          ``greedy_decision(...)`` / ``probabilities(...)`` /
+          ``model.predict(...)`` calls inside loops in
+          ``core/estimators``, ``core/diagnostics.py`` or ``api`` — the
+          batch APIs (``propensity_batch``, ``greedy_decision_batch``,
+          ``probability_matrix``, ``predict_batch``,
+          ``Trace.columns()``) evaluate the whole trace in one
+          vectorised pass.
 REP008    noqa hygiene (warning severity) — suppression comments must
           name registered rules; unknown ``REP`` codes are reported
           rather than silently suppressing everything.  Autofixable.

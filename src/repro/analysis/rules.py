@@ -537,10 +537,14 @@ class NoSilentExceptionSwallowing(LintRule):
         return violations
 
 
-#: Per-record evaluation methods that have batch counterparts on the
-#: same objects (``propensity_batch`` / ``predict_batch``); REP007 flags
-#: looped calls to them.
-_BATCHABLE_METHODS = {"propensity", "predict"}
+#: Per-record evaluation methods mapped to their batch counterparts on
+#: the same objects; REP007 flags looped calls to them.
+_BATCHABLE_METHODS = {
+    "propensity": "propensity_batch",
+    "predict": "predict_batch",
+    "greedy_decision": "greedy_decision_batch",
+    "probabilities": "probability_matrix",
+}
 
 #: AST nodes that iterate: explicit loops plus every comprehension form.
 _LOOP_NODES = (
@@ -556,25 +560,33 @@ _LOOP_NODES = (
 
 @register_rule
 class NoPerRecordEvaluationLoops(LintRule):
-    """REP007 — no per-record policy/model evaluation loops in estimators.
+    """REP007 — no per-record policy/model evaluation loops on the facade path.
 
-    Calling ``policy.propensity(...)`` or ``model.predict(...)`` once per
+    Calling ``policy.propensity(...)``, ``policy.greedy_decision(...)``,
+    ``policy.probabilities(...)`` or ``model.predict(...)`` once per
     trace record re-enters the Python interpreter N times for work the
-    batch APIs (``propensity_batch``, ``predict_batch``, and the columnar
+    batch APIs (``propensity_batch``, ``greedy_decision_batch``,
+    ``probability_matrix``, ``predict_batch``, and the columnar
     :meth:`Trace.columns` cache) do in one vectorised pass — the exact
-    hot-path pattern the perf rewrite removed from the IPS/DM/DR family.
-    Scoped to ``core/estimators``; genuinely sequential algorithms (the
-    history-dependent replay estimator) suppress with a ``# noqa``.
+    hot-path pattern the perf rewrites removed from the IPS/DM/DR family
+    and the overlap diagnostics.  Scoped to what ``repro.api`` runs on
+    every call: ``core/estimators``, ``core/diagnostics.py`` and
+    ``api``.  Genuinely sequential algorithms (the history-dependent
+    replay estimator) suppress with a ``# noqa``.
     """
 
     rule_id = "REP007"
     description = (
-        "per-record propensity()/predict() calls inside estimator loops; "
-        "use propensity_batch/predict_batch over Trace.columns() instead"
+        "per-record propensity()/greedy_decision()/probabilities()/predict() "
+        "calls inside loops on the facade path; use the batch APIs over "
+        "Trace.columns() instead"
     )
 
     def applies_to(self, unit: ModuleUnit) -> bool:
-        return "estimators" in unit.path.parts
+        parts = unit.path.parts
+        if "estimators" in parts or "api" in parts:
+            return True
+        return parts[-2:] == ("core", "diagnostics.py")
 
     def check_module(self, unit: ModuleUnit) -> Iterable[Violation]:
         violations: List[Violation] = []
@@ -594,7 +606,7 @@ class NoPerRecordEvaluationLoops(LintRule):
             and isinstance(node.func, ast.Attribute)
             and node.func.attr in _BATCHABLE_METHODS
         ):
-            batch = f"{node.func.attr}_batch"
+            batch = _BATCHABLE_METHODS[node.func.attr]
             violations.append(
                 self.violation(
                     unit,

@@ -14,10 +14,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.estimators.base import importance_weights, weight_diagnostics
-from repro.core.policy import Policy
+from repro.core.contracts import check_weights
+from repro.core.estimators.base import weight_diagnostics
+from repro.core.policy import Policy, greedy_columns
 from repro.core.propensity import PropensityModel, resolve_propensity_source
-from repro.core.types import Decision, Trace
+from repro.core.spaces import DecisionSpace
+from repro.core.types import Decision, Trace, TraceColumns
+from repro.errors import EstimatorError
 
 
 @dataclass(frozen=True)
@@ -88,24 +91,45 @@ def overlap_report(
     ess_warning_fraction: float = 0.1,
     weight_warning: float = 50.0,
 ) -> OverlapReport:
-    """Compute an :class:`OverlapReport` for evaluating *new_policy* on *trace*."""
+    """Compute an :class:`OverlapReport` for evaluating *new_policy* on *trace*.
+
+    One columnar pass over the trace's chunks (a dense :class:`Trace`
+    is the single chunk; a :class:`~repro.store.ShardedTrace` is read in
+    bounded memory and never materialised).  Per chunk, the logging
+    propensities come from the source's ``propensity_batch`` and one
+    :meth:`~repro.core.policy.Policy.probability_matrix` yields both the
+    new policy's propensities and its greedy decisions.  Weights and
+    propensities are gathered into trace-length buffers and reduced once
+    (the DESIGN.md §10.3 gather-once rule), so every field is
+    bit-identical for every chunking.  Under ``on_corruption=
+    "quarantine"`` the report covers exactly the surviving records.
+    """
+    from repro.kernels import get_backend  # local: keeps repro.core import-light
+    from repro.store.streaming import scan_chunks  # repro.store depends on repro.core
+
     source = resolve_propensity_source(trace, old_policy, propensity_model)
-    weights = importance_weights(new_policy, trace, source)
-    stats = weight_diagnostics(weights)
-    propensities = np.asarray(
-        [source.propensity(record, index) for index, record in enumerate(trace)]
-    )
-    matches = sum(
-        1
-        for record in trace
-        if record.decision == new_policy.greedy_decision(record.context)
-    )
+    space = new_policy.space
+    weights = np.empty(len(trace), dtype=float)
+    propensities = np.empty(len(trace), dtype=float)
     coverage: Dict[Decision, int] = {}
-    for record in trace:
-        coverage[record.decision] = coverage.get(record.decision, 0) + 1
+    matches = 0
+    n = 0
+    for cursor, chunk in scan_chunks(trace):
+        columns = chunk.columns()
+        n = cursor + len(chunk)
+        old = source.propensity_batch(chunk)
+        logged = _logged_columns(space, columns, coverage)
+        matrix = new_policy.probability_matrix(columns.contexts)
+        new = matrix[np.arange(len(logged)), logged]
+        weights[cursor:n] = get_backend().importance_ratio(new, old)
+        propensities[cursor:n] = old
+        matches += int(np.count_nonzero(greedy_columns(matrix) == logged))
+    if n == 0:
+        raise EstimatorError("cannot compute overlap diagnostics on an empty trace")
+    weights = check_weights(weights[:n], where="importance weights").values
+    stats = weight_diagnostics(weights)
 
     warnings: List[str] = []
-    n = len(trace)
     if stats["ess"] < ess_warning_fraction * n:
         warnings.append(
             f"effective sample size {stats['ess']:.1f} is below "
@@ -135,10 +159,32 @@ def overlap_report(
         max_weight=stats["max_weight"],
         mean_weight=stats["mean_weight"],
         zero_weight_fraction=stats["zero_weight_fraction"],
-        min_propensity=float(propensities.min()),
+        min_propensity=float(propensities[:n].min()),
         decision_coverage=coverage,
         warnings=tuple(warnings),
     )
+
+
+def _logged_columns(
+    space: DecisionSpace, columns: TraceColumns, coverage: Dict[Decision, int]
+) -> np.ndarray:
+    """Space positions of a chunk's logged decisions, counting coverage.
+
+    Walks the chunk's distinct decision codes in first-occurrence order,
+    so *coverage* (merged across chunks) keeps the trace's
+    first-occurrence key order, and a decision outside *space* raises
+    the same :class:`~repro.errors.PolicyError` the per-record
+    ``propensity`` validation would, for the first offending record.
+    """
+    codes = columns.decision_codes
+    used, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    positions = np.zeros(len(columns.decision_vocabulary), dtype=np.intp)
+    for rank in np.argsort(first):
+        code = int(used[rank])
+        decision = columns.decision_vocabulary[code]
+        positions[code] = space.index_of(decision)
+        coverage[decision] = coverage.get(decision, 0) + int(counts[rank])
+    return positions[codes]
 
 
 @dataclass(frozen=True)
@@ -165,22 +211,45 @@ class RandomnessReport:
 
 
 def randomness_report(old_policy: Policy, trace: Trace) -> RandomnessReport:
-    """Entropy statistics of *old_policy* over the trace's contexts."""
-    entropies = []
-    deterministic = 0
-    for record in trace:
-        distribution = old_policy.probabilities(record.context)
-        probabilities = np.asarray(
-            [p for p in distribution.values() if p > 0], dtype=float
-        )
-        entropy = float(-(probabilities * np.log(probabilities)).sum())
-        entropies.append(entropy)
-        if entropy < 1e-9:
-            deterministic += 1
-    entropies_array = np.asarray(entropies)
+    """Entropy statistics of *old_policy* over the trace's contexts.
+
+    Columnar, like :func:`overlap_report`: one
+    :meth:`~repro.core.policy.Policy.probability_matrix` per chunk, the
+    per-context entropies gathered and reduced once.  Each entropy sums
+    ``-p log p`` over the positive entries in space order, which is
+    bit-identical to summing the policy's ``probabilities()`` values
+    whenever that distribution lists its decisions in space order (every
+    built-in family does).
+    """
+    from repro.store.streaming import scan_chunks  # repro.store depends on repro.core
+
+    entropies = np.empty(len(trace), dtype=float)
+    n = 0
+    for cursor, chunk in scan_chunks(trace):
+        n = cursor + len(chunk)
+        matrix = old_policy.probability_matrix(chunk.columns().contexts)
+        entropies[cursor:n] = _row_entropies(matrix)
+    entropies = entropies[:n]
     return RandomnessReport(
-        n=len(trace),
-        mean_entropy=float(entropies_array.mean()),
-        min_entropy=float(entropies_array.min()),
-        deterministic_fraction=deterministic / len(trace),
+        n=n,
+        mean_entropy=float(entropies.mean()),
+        min_entropy=float(entropies.min()),
+        deterministic_fraction=int(np.count_nonzero(entropies < 1e-9)) / n,
     )
+
+
+def _row_entropies(matrix: np.ndarray) -> np.ndarray:
+    """Shannon entropy (nats) of each row over its positive entries.
+
+    Rows are grouped by support size so each group's positive entries
+    pack into a dense block whose row sums run the same numpy reduction,
+    element for element, as summing one row's positive entries alone.
+    """
+    positive = matrix > 0
+    support = positive.sum(axis=1)
+    entropies = np.empty(len(matrix), dtype=float)
+    for width in np.unique(support):
+        rows = support == width
+        packed = matrix[rows][positive[rows]].reshape(int(rows.sum()), int(width))
+        entropies[rows] = -(packed * np.log(packed)).sum(axis=1)
+    return entropies

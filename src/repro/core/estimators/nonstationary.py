@@ -103,7 +103,12 @@ class ReplayDoublyRobust:
         matched_terms: list[float] = []
         for index, record in enumerate(trace):
             # Step 1: sample the new policy's decision under its own history.
-            new_distribution = new_policy.probabilities(record.context, new_history)
+            # noqa rationale: the distribution depends on the history of
+            # decisions sampled for earlier records, so it cannot be
+            # evaluated as one probability matrix ahead of this pass.
+            new_distribution = new_policy.probabilities(  # noqa: REP007
+                record.context, new_history
+            )
             sampled = _sample_from(new_distribution, self._rng)
             if sampled == record.decision:
                 # Step 2: DR update on this matched client.

@@ -54,6 +54,24 @@ def validate_distribution(
     return dict(distribution)
 
 
+def greedy_columns(matrix: np.ndarray) -> np.ndarray:
+    """Column of each row's greedy decision in a :meth:`Policy.probability_matrix`.
+
+    A column scan that replays :meth:`Policy.greedy_decision` exactly:
+    the same ``> best + tolerance`` comparisons in space order, so ties
+    go to the earlier decision and the result is bit-identical to the
+    scalar loop whenever the matrix is.
+    """
+    count = matrix.shape[0]
+    best = np.full(count, -1.0)
+    choice = np.zeros(count, dtype=np.intp)
+    for column in range(matrix.shape[1]):
+        better = matrix[:, column] > best + _PROBABILITY_ATOL
+        choice[better] = column
+        best[better] = matrix[better, column]
+    return choice
+
+
 class Policy(abc.ABC):
     """Abstract stationary policy.
 
@@ -126,21 +144,15 @@ class Policy(abc.ABC):
     ) -> List[Decision]:
         """:meth:`greedy_decision` for every context.
 
-        Implemented as a column scan over :meth:`probability_matrix` that
-        replays the scalar scan exactly (same comparisons, same tolerance,
-        same space-order tie-breaking), so it is bit-identical to the loop
+        Implemented as the :func:`greedy_columns` scan over
+        :meth:`probability_matrix`, so it is bit-identical to the loop
         whenever the matrix is.
         """
-        matrix = self.probability_matrix(contexts)
-        count = len(contexts)
-        best = np.full(count, -1.0)
-        choice = np.zeros(count, dtype=np.intp)
-        for column in range(matrix.shape[1]):
-            better = matrix[:, column] > best + _PROBABILITY_ATOL
-            choice[better] = column
-            best[better] = matrix[better, column]
         decisions = self._space.decisions
-        return [decisions[index] for index in choice]
+        return [
+            decisions[index]
+            for index in greedy_columns(self.probability_matrix(contexts))
+        ]
 
     def sample(self, context: ClientContext, rng) -> Decision:
         """Draw one decision for *context* using *rng* (seed or Generator)."""

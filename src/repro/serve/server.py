@@ -25,7 +25,7 @@ import asyncio
 import json
 import sys
 import threading
-from typing import Optional
+from typing import Optional, Set
 
 from repro.errors import ServeError
 from repro.obs.spans import Recorder, enable, increment, observe
@@ -100,9 +100,29 @@ async def serve(
     port: int = DEFAULT_PORT,
 ) -> asyncio.AbstractServer:
     """Bind and start accepting; returns the listening server object."""
+    loop = asyncio.get_running_loop()
+    connections: Set[asyncio.Task] = set()
 
-    async def connection(reader, writer):
-        await _handle_connection(service, reader, writer)
+    def finished(task: asyncio.Task) -> None:
+        connections.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            loop.call_exception_handler(
+                {
+                    "message": "repro serve: connection handler failed",
+                    "exception": task.exception(),
+                    "task": task,
+                }
+            )
+
+    def connection(reader, writer) -> None:
+        # A plain callback that owns the connection task.  Given a
+        # coroutine instead, the stream protocol (Python < 3.12) wraps it
+        # in a task whose done-callback calls task.exception(), which
+        # raises and logs "Exception in callback ... CancelledError" when
+        # shutdown cancels a keep-alive connection still open.
+        task = loop.create_task(_handle_connection(service, reader, writer))
+        connections.add(task)
+        task.add_done_callback(finished)
 
     return await asyncio.start_server(connection, host=host, port=port)
 

@@ -745,9 +745,12 @@ class ShardedTrace:
     def columns(self) -> TraceColumns:
         """Dense :class:`TraceColumns` over the whole view (materialises).
 
-        Provided for Trace compatibility — estimators never call it on a
-        sharded trace because :meth:`~repro.core.estimators.base.OffPolicyEstimator.estimate`
-        routes anything with ``iter_chunks`` through the streaming path.
+        Provided for Trace compatibility.  Nothing on the ``repro.api``
+        facade path calls it on a sharded trace:
+        :meth:`~repro.core.estimators.base.OffPolicyEstimator.estimate`
+        routes anything with ``iter_chunks`` through the streaming path,
+        and the overlap diagnostics scan chunks the same way
+        (``tests/store/test_facade_streaming.py`` pins both).
         """
         return self.materialize().columns()
 

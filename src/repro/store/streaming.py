@@ -45,7 +45,7 @@ import multiprocessing
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from repro.core.propensity import (
     PropensitySource,
     resolve_propensity_source,
 )
+from repro.core.types import Trace
 from repro.errors import EstimatorError, StoreError
 from repro.obs.spans import increment, observe, recording, span
 from repro.store.shm import SharedColumnBuffers, shared_memory_available
@@ -309,6 +310,46 @@ def _parallel_stream(
     return estimator._stream_finalize(buffers, n)
 
 
+def scan_chunks(trace) -> Iterator[Tuple[int, Any]]:
+    """Yield ``(cursor, chunk)`` over *trace* in order, then reconcile.
+
+    *cursor* is the chunk's absolute start among the records read so
+    far.  A dense :class:`~repro.core.types.Trace` (anything without
+    ``iter_chunks``) is the single chunk ``(0, trace)``.  After the last
+    chunk of a streaming trace, the records read are checked against
+    ``len(trace)``: a shortfall the trace's own quarantine accounting
+    (``quarantined_records()``) explains is a legitimate degraded read,
+    so consumers finalize on the surviving ``read`` records; an
+    unexplained one, or a trace whose every record was quarantined,
+    raises :class:`~repro.errors.StoreError`.  A silently shorter stream
+    can therefore never change a result undetected.
+    """
+    if isinstance(trace, Trace) or not hasattr(trace, "iter_chunks"):
+        yield 0, trace
+        return
+    n = len(trace)
+    cursor = 0
+    for chunk in trace.iter_chunks():
+        yield cursor, chunk
+        cursor += len(chunk)
+    if cursor == n:
+        return
+    counter = getattr(trace, "quarantined_records", None)
+    skipped = int(counter()) if callable(counter) else 0
+    if cursor + skipped != n:
+        raise StoreError(
+            f"streaming read {cursor} records from a trace reporting "
+            f"len() == {n}"
+            + (f" ({skipped} quarantined)" if skipped else "")
+            + "; the shard directory is corrupt or was rewritten mid-read"
+        )
+    if cursor == 0:
+        raise StoreError(
+            f"every record of the trace ({skipped} in quarantined shards) "
+            "was lost to corruption; nothing to read — run `repro repair`"
+        )
+
+
 def stream_estimate(
     estimator,
     new_policy: Policy,
@@ -386,9 +427,8 @@ def stream_estimate(
     with span("ope.stream", estimator=estimator.name):
         estimator._stream_setup(new_policy, trace)
         buffers: Optional[Dict[str, np.ndarray]] = None
-        cursor = 0
-        chunks = 0
-        for chunk in trace.iter_chunks():
+        read = 0
+        for cursor, chunk in scan_chunks(trace):
             size = len(chunk)
             check_trace_columns(
                 chunk.columns(),
@@ -418,40 +458,21 @@ def stream_estimate(
                         f"shape {array.shape}, expected ({size},)"
                     )
                 buffers[key][cursor : cursor + size] = array
-            cursor += size
-            chunks += 1
+            read = cursor + size
             observe("store.chunk.records", float(size))
             increment("ope.stream.chunks")
-        skipped = 0
-        if cursor != n:
-            counter = getattr(trace, "quarantined_records", None)
-            skipped = int(counter()) if callable(counter) else 0
-            if cursor + skipped != n:
-                raise StoreError(
-                    f"streaming read {cursor} records from a trace reporting "
-                    f"len() == {n}"
-                    + (f" ({skipped} quarantined)" if skipped else "")
-                    + "; the shard directory is corrupt or was "
-                    "rewritten mid-read"
-                )
         if buffers is None:
-            if skipped:
-                raise StoreError(
-                    f"every record of the trace ({skipped} in quarantined "
-                    "shards) was lost to corruption; nothing to estimate — "
-                    "run `repro repair`"
-                )
             raise EstimatorError("cannot estimate from an empty trace")
-        if skipped:
-            # Finalize on the surviving prefix of each gathered column:
-            # the entries are exactly the dense-path float64 values of
-            # the surviving records, so the degraded estimate is the
-            # bit-identical estimate of the surviving subtrace.
-            buffers = {key: array[:cursor] for key, array in buffers.items()}
-        result = estimator._stream_finalize(buffers, cursor)
-        if skipped:
-            report = trace.quarantine_report()
-            result.diagnostics["store_quarantine"] = report.to_json()
+        if read == n:
+            return estimator._stream_finalize(buffers, n)
+        # Finalize on the surviving prefix of each gathered column: the
+        # entries are exactly the dense-path float64 values of the
+        # surviving records, so the degraded estimate is the bit-identical
+        # estimate of the surviving subtrace.
+        result = estimator._stream_finalize(
+            {key: array[:read] for key, array in buffers.items()}, read
+        )
+        result.diagnostics["store_quarantine"] = trace.quarantine_report().to_json()
         return result
 
 
@@ -463,20 +484,10 @@ def stream_weight_columns(trace, column: str = "rewards") -> np.ndarray:
     sharded trace without materialising records (``column`` is any
     :class:`~repro.core.types.TraceColumns` float attribute).
     """
-    n = len(trace)
-    out = np.empty(n, dtype=np.float64)
-    cursor = 0
-    for chunk in trace.iter_chunks():
+    out = np.empty(len(trace), dtype=np.float64)
+    read = 0
+    for cursor, chunk in scan_chunks(trace):
         values: Any = getattr(chunk.columns(), column)
-        out[cursor : cursor + len(chunk)] = values
-        cursor += len(chunk)
-    if cursor != n:
-        counter = getattr(trace, "quarantined_records", None)
-        skipped = int(counter()) if callable(counter) else 0
-        if cursor + skipped != n:
-            raise StoreError(
-                f"streaming read {cursor} records from a trace reporting "
-                f"len() == {n}"
-            )
-        return out[:cursor]
-    return out
+        read = cursor + len(chunk)
+        out[cursor:read] = values
+    return out[:read]

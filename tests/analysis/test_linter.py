@@ -219,6 +219,30 @@ class TestRep007:
         report = lint_paths([str(FIXTURES / "clean.py")], ["REP007"])
         assert report.ok
 
+    def test_flags_greedy_and_distribution_loops_on_the_facade_path(self):
+        found = violations_for(str(FIXTURES / "api" / "rep007_bad.py"), ["REP007"])
+        assert [(v.rule_id, v.line) for v in found] == [
+            ("REP007", 8),
+            ("REP007", 15),
+        ]
+        messages = "\n".join(v.message for v in found)
+        assert "greedy_decision_batch" in messages
+        assert "probability_matrix" in messages
+
+    def test_flags_loops_in_core_diagnostics(self):
+        found = violations_for(str(FIXTURES / "core" / "diagnostics.py"), ["REP007"])
+        assert [(v.rule_id, v.line) for v in found] == [("REP007", 8)]
+
+    def test_facade_batch_forms_pass(self):
+        report = lint_paths([str(FIXTURES / "api" / "rep007_good.py")], ["REP007"])
+        assert report.ok
+
+    def test_same_loops_outside_the_facade_path_pass(self):
+        report = lint_paths(
+            [str(FIXTURES / "rep007_out_of_scope.py")], ["REP007"]
+        )
+        assert report.ok
+
 
 class TestReporting:
     def test_clean_fixture_is_clean(self):

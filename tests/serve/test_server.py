@@ -10,6 +10,11 @@ after its JSON round trip — is bit-identical to the direct
 from __future__ import annotations
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -320,3 +325,50 @@ class TestErrors:
         before = _counter(server, "serve.request.rejected")
         client.request("POST", "/v1/evaluate", body={}, expect_errors=True)
         assert _counter(server, "serve.request.rejected") == before + 1
+
+
+class TestShutdown:
+    def test_sigint_with_open_keep_alive_connection_logs_no_error(
+        self, tmp_path
+    ):
+        # `repro serve` as an operator runs it: Ctrl-C while a dashboard
+        # client still holds its keep-alive connection open.
+        flat_path = tmp_path / "flat.jsonl"
+        make_uniform_trace(
+            core.DecisionSpace(["a", "b", "c"]),
+            lambda c, d: {"a": 1.0, "b": 2.0, "c": 3.0}[d],
+            np.random.default_rng(5),
+            n=30,
+        ).to_jsonl(str(flat_path))
+        registry_path = tmp_path / "registry.json"
+        registry_path.write_text(
+            json.dumps({"traces": {"flat": {"path": str(flat_path)}}})
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(registry_path),
+             "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        try:
+            found = re.search(
+                r"http://([0-9.]+):([0-9]+)", process.stdout.readline()
+            )
+            assert found is not None
+            with ServeClient(found.group(1), int(found.group(2))) as client:
+                assert client.health()["status"] == "ok"
+                process.send_signal(signal.SIGINT)
+                stdout, stderr = process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0
+        assert "shutting down" in stdout
+        assert "Exception in callback" not in stderr
+        assert "CancelledError" not in stderr
