@@ -100,7 +100,7 @@ def overlap_report(
     :meth:`~repro.core.policy.Policy.probability_matrix` yields both the
     new policy's propensities and its greedy decisions.  Weights and
     propensities are gathered into trace-length buffers and reduced once
-    (the DESIGN.md §10.3 gather-once rule), so every field is
+    (as estimators' weight diagnostics are, DESIGN.md §10.3), so every field is
     bit-identical for every chunking.  Under ``on_corruption=
     "quarantine"`` the report covers exactly the surviving records.
     """

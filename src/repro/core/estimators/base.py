@@ -11,11 +11,12 @@ from __future__ import annotations
 import abc
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.contracts import check_trace, check_weights
+from repro.core.estimators.moments import Moments, Readout, mean_readout, summarize
 from repro.core.policy import Policy
 from repro.core.propensity import (
     PropensityModel,
@@ -109,22 +110,39 @@ def result_from_contributions(
     contributions: np.ndarray,
     diagnostics: Optional[Dict[str, Any]] = None,
 ) -> EstimateResult:
-    """Build an :class:`EstimateResult` from per-record contributions."""
+    """Build an :class:`EstimateResult` from per-record contributions.
+
+    The value and standard error are the contributions' mean and
+    standard error of the mean, reduced over the fixed block grid of
+    :mod:`repro.core.estimators.moments`.
+    """
     contributions = np.asarray(contributions, dtype=float)
     if contributions.size == 0:
         raise EstimatorError(f"{method}: no contributions to average")
-    value = float(contributions.mean())
-    if contributions.size > 1:
-        std_error = float(contributions.std(ddof=1) / np.sqrt(contributions.size))
-    else:
-        std_error = float("nan")
+    return result_from_readout(
+        method, mean_readout(summarize((contributions,))), contributions, diagnostics
+    )
+
+
+def result_from_readout(
+    method: str,
+    readout: Readout,
+    contributions: np.ndarray,
+    diagnostics: Optional[Dict[str, Any]] = None,
+) -> EstimateResult:
+    """Build an :class:`EstimateResult` from a moment readout.
+
+    The readout's own diagnostics are appended after *diagnostics*.
+    """
+    merged = dict(diagnostics or {})
+    merged.update(readout.diagnostics)
     return EstimateResult(
-        value=value,
+        value=readout.value,
         method=method,
-        n=int(contributions.size),
+        n=readout.n,
         contributions=contributions,
-        std_error=std_error,
-        diagnostics=dict(diagnostics or {}),
+        std_error=readout.std_error,
+        diagnostics=merged,
     )
 
 
@@ -251,14 +269,51 @@ class OffPolicyEstimator(abc.ABC):
         self, columns: Dict[str, np.ndarray], n: int
     ) -> EstimateResult:
         """Reduce the gathered per-record *columns* (each of length *n*,
-        in trace order) to the final :class:`EstimateResult`.  All
-        cross-record arithmetic — means, weight sums, self-normalisation
-        denominators, clipping statistics — lives here, on exactly the
-        arrays the dense path sees."""
+        in trace order) to the final :class:`EstimateResult`.
+
+        The value and standard error come from :meth:`_readout` over the
+        block-tree moments of :meth:`_stream_terms`, so they equal a
+        live readout of the same records bit for bit; contributions and
+        weight diagnostics are built from *columns*."""
         raise EstimatorError(
             f"{self.name} does not support streaming evaluation; "
             "materialise the trace first (ShardedTrace.materialize())"
         )
+
+    def _stream_terms(
+        self, columns: Dict[str, np.ndarray]
+    ) -> Tuple[np.ndarray, ...]:
+        """The estimator's per-record terms (one to three arrays).
+
+        Each term is an elementwise function of the ``_stream_chunk``
+        *columns*, so the terms of a chunk are exactly that slice of the
+        whole trace's terms.  Their moments are all :meth:`_readout`
+        needs, which is what lets a live monitor read an estimate
+        without revisiting the prefix.
+        """
+        raise EstimatorError(
+            f"{self.name} does not support streaming evaluation; "
+            "materialise the trace first (ShardedTrace.materialize())"
+        )
+
+    def _readout(self, moments: Moments) -> Readout:
+        """Map the terms' :class:`Moments` to value and standard error.
+
+        The default suits single-term estimators whose term is the
+        per-record contribution: its mean and standard error of the mean.
+        """
+        return mean_readout(moments)
+
+    def _confidence_terms(
+        self, terms: Tuple[np.ndarray, ...]
+    ) -> Tuple[np.ndarray, ...]:
+        """The live confidence sequence's input for one chunk's *terms*.
+
+        One array makes a sequence for a mean, a ``(numerator,
+        denominator)`` pair one for a ratio of means.  The default is the
+        estimate's own terms.
+        """
+        return terms
 
 
 def observe_estimate_metrics(result: EstimateResult) -> None:

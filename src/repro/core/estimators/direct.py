@@ -86,5 +86,8 @@ class DirectMethod(OffPolicyEstimator):
         )
         return {"contributions": contributions}
 
+    def _stream_terms(self, columns: dict) -> tuple:
+        return (columns["contributions"],)
+
     def _stream_finalize(self, columns: dict, n: int) -> EstimateResult:
         return result_from_contributions(self.name, columns["contributions"])

@@ -29,7 +29,14 @@ from repro.core.estimators.base import (
     expected_model_rewards,
     resolve_legacy_kwarg,
     result_from_contributions,
+    result_from_readout,
     weight_diagnostics,
+)
+from repro.core.estimators.moments import (
+    Moments,
+    Readout,
+    standard_error,
+    summarize,
 )
 from repro.core.models.base import RewardModel
 from repro.core.models.ensemble import CrossFitModel
@@ -172,11 +179,18 @@ class DoublyRobust(OffPolicyEstimator):
         )
         return {"dm_terms": dm_terms, "weights": weights, "residuals": residuals}
 
+    def _stream_terms(self, columns: dict) -> tuple:
+        return (
+            get_backend().dr_contributions(
+                columns["dm_terms"], columns["weights"], columns["residuals"]
+            ),
+        )
+
     def _stream_finalize(self, columns: dict, n: int) -> EstimateResult:
         dm_terms = columns["dm_terms"]
         weights = columns["weights"]
         residuals = columns["residuals"]
-        contributions = get_backend().dr_contributions(dm_terms, weights, residuals)
+        (contributions,) = self._stream_terms(columns)
         diagnostics = weight_diagnostics(weights)
         diagnostics["dm_value"] = float(dm_terms.mean())
         diagnostics["correction"] = float((weights * residuals).mean())
@@ -197,35 +211,50 @@ class SelfNormalizedDR(DoublyRobust):
     def name(self) -> str:
         return "sndr"
 
-    def _stream_finalize(self, columns: dict, n: int) -> EstimateResult:
-        # The SNDR correction's numerator Σ w·(r − r̂) and denominator
-        # Σ w are reduced from the gathered columns in trace order —
-        # identical to the dense reductions for any chunking (DESIGN.md
-        # §10).  The chunk hook is inherited from DoublyRobust.
-        dm_terms = columns["dm_terms"]
+    def _stream_terms(self, columns: dict) -> tuple:
         weights = columns["weights"]
-        residuals = columns["residuals"]
-        total = float(weights.sum())
-        diagnostics = weight_diagnostics(weights)
-        diagnostics["dm_value"] = float(dm_terms.mean())
+        return (columns["dm_terms"], weights * columns["residuals"], weights)
+
+    def _readout(self, moments: Moments) -> Readout:
+        # Each record contributes dm + scale·(w·res) with scale = n/Σw:
+        # the value is mean(dm) + Σ w·res / Σw, and the standard error
+        # that of those contributions, from the centred co-moments of
+        # (dm, w·res).
+        n = moments.count
+        dm_value = moments.mean(0)
+        total = moments.sums[2]
         if total > 0:
-            correction = float(np.dot(weights, residuals) / total)
-            contributions = get_backend().sndr_contributions(
-                dm_terms, weights, residuals, n / total
-            )
+            correction = moments.sums[1] / total
+            scale = n / total
         else:
             correction = 0.0
-            contributions = dm_terms
-        diagnostics["correction"] = correction
-        value = float(dm_terms.mean() + correction)
-        std_error = (
-            float(contributions.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
+            scale = 0.0
+        return Readout(
+            dm_value + correction,
+            standard_error(moments.centred_square_sum(0, 1, scale), n),
+            n,
+            {"dm_value": dm_value, "correction": correction},
         )
-        return EstimateResult(
-            value=value,
-            method=self.name,
-            n=n,
-            contributions=contributions,
-            std_error=std_error,
-            diagnostics=diagnostics,
+
+    def _confidence_terms(self, terms: tuple) -> tuple:
+        # The unnormalised DR surrogate dm + w·res (DESIGN.md §14).
+        return (terms[0] + terms[1],)
+
+    def _stream_finalize(self, columns: dict, n: int) -> EstimateResult:
+        # The chunk hook is inherited from DoublyRobust.
+        dm_terms = columns["dm_terms"]
+        weights = columns["weights"]
+        moments = summarize(self._stream_terms(columns))
+        total = moments.sums[2]
+        if total > 0:
+            contributions = get_backend().sndr_contributions(
+                dm_terms, weights, columns["residuals"], n / total
+            )
+        else:
+            contributions = dm_terms
+        return result_from_readout(
+            self.name,
+            self._readout(moments),
+            contributions,
+            weight_diagnostics(weights),
         )

@@ -17,6 +17,7 @@ standard variance-control variants are included:
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Optional
 
@@ -28,7 +29,14 @@ from repro.core.estimators.base import (
     importance_weights,
     resolve_legacy_kwarg,
     result_from_contributions,
+    result_from_readout,
     weight_diagnostics,
+)
+from repro.core.estimators.moments import (
+    Moments,
+    Readout,
+    standard_error,
+    summarize,
 )
 from repro.core.policy import Policy
 from repro.core.propensity import PropensitySource
@@ -58,11 +66,14 @@ class IPS(OffPolicyEstimator):
         weights = importance_weights(new_policy, chunk, propensities)
         return {"weights": weights, "rewards": chunk.columns().rewards}
 
-    def _stream_finalize(self, columns: dict, n: int) -> EstimateResult:
+    def _stream_terms(self, columns: dict) -> tuple:
         weights = columns["weights"]
-        contributions = get_backend().ips_contributions(weights, columns["rewards"])
+        return (get_backend().ips_contributions(weights, columns["rewards"]),)
+
+    def _stream_finalize(self, columns: dict, n: int) -> EstimateResult:
+        (contributions,) = self._stream_terms(columns)
         return result_from_contributions(
-            self.name, contributions, weight_diagnostics(weights)
+            self.name, contributions, weight_diagnostics(columns["weights"])
         )
 
 
@@ -118,11 +129,15 @@ class ClippedIPS(OffPolicyEstimator):
         weights = importance_weights(new_policy, chunk, propensities)
         return {"weights": weights, "rewards": chunk.columns().rewards}
 
+    def _stream_terms(self, columns: dict) -> tuple:
+        backend = get_backend()
+        clipped = backend.clip_weights(columns["weights"], self._clip)
+        return (backend.ips_contributions(clipped, columns["rewards"]),)
+
     def _stream_finalize(self, columns: dict, n: int) -> EstimateResult:
         weights = columns["weights"]
-        backend = get_backend()
-        clipped = backend.clip_weights(weights, self._clip)
-        contributions = backend.ips_contributions(clipped, columns["rewards"])
+        (contributions,) = self._stream_terms(columns)
+        clipped = get_backend().clip_weights(weights, self._clip)
         diagnostics = weight_diagnostics(clipped)
         diagnostics["clipped_fraction"] = float((weights > self._clip).mean())
         return result_from_contributions(self.name, contributions, diagnostics)
@@ -152,14 +167,15 @@ class SelfNormalizedIPS(OffPolicyEstimator):
         weights = importance_weights(new_policy, chunk, propensities)
         return {"weights": weights, "rewards": chunk.columns().rewards}
 
-    def _stream_finalize(self, columns: dict, n: int) -> EstimateResult:
-        # The self-normalisation numerator Σ w·r and denominator Σ w are
-        # reduced here from the gathered weight/reward columns, in trace
-        # order — the same reductions the dense path runs, so the ratio
-        # is chunking-invariant bit for bit (DESIGN.md §10).
+    def _stream_terms(self, columns: dict) -> tuple:
         weights = columns["weights"]
-        total = float(weights.sum())
-        diagnostics = weight_diagnostics(weights)
+        return (get_backend().ips_contributions(weights, columns["rewards"]), weights)
+
+    def _readout(self, moments: Moments) -> Readout:
+        # Value Σw·r / Σw; delta-method standard error
+        # sqrt(Σ (w·r − value·w)² / (Σw)² · n/(n−1)), the residual sum
+        # taken from the centred co-moments of (w·r, w).
+        total = moments.sums[1]
         if total <= 0:
             # The new policy never takes any logged decision: SNIPS is
             # undefined.  Surface that as a diagnostic-rich failure rather
@@ -168,23 +184,24 @@ class SelfNormalizedIPS(OffPolicyEstimator):
                 "SNIPS undefined: the new policy puts zero probability on "
                 "every logged decision (no overlap, cf. paper Fig 5)"
             )
-        rewards = columns["rewards"]
-        value = float(np.dot(weights, rewards) / total)
-        # Delta-method standard error for a ratio estimator.
-        residuals = weights * (rewards - value)
+        n = moments.count
+        value = moments.sums[0] / total
         if n > 1:
-            variance = float((residuals**2).sum()) / (total**2)
-            std_error = float(np.sqrt(variance) * np.sqrt(n / (n - 1)))
+            square_sum = moments.centred_square_sum(0, 1, -value)
+            variance = square_sum / (total * total)
+            std_error = math.sqrt(variance) * math.sqrt(n / (n - 1))
         else:
             std_error = float("nan")
-        diagnostics["weight_sum"] = total
-        return EstimateResult(
-            value=value,
-            method=self.name,
-            n=n,
-            contributions=weights * rewards * (n / total),
-            std_error=std_error,
-            diagnostics=diagnostics,
+        return Readout(value, std_error, n, {"weight_sum": total})
+
+    def _stream_finalize(self, columns: dict, n: int) -> EstimateResult:
+        terms = self._stream_terms(columns)
+        readout = self._readout(summarize(terms))
+        return result_from_readout(
+            self.name,
+            readout,
+            terms[0] * (n / readout.diagnostics["weight_sum"]),
+            weight_diagnostics(columns["weights"]),
         )
 
 
@@ -226,15 +243,32 @@ class MatchingEstimator(OffPolicyEstimator):
         )
         return {"matched": matched, "rewards": columns.rewards}
 
-    def _stream_finalize(self, columns: dict, n: int) -> EstimateResult:
-        matched = columns["rewards"][columns["matched"]]
-        diagnostics = {
-            "match_count": int(matched.size),
-            "match_fraction": matched.size / n,
-        }
-        if matched.size == 0:
+    def _stream_terms(self, columns: dict) -> tuple:
+        matched = columns["matched"].astype(np.float64)
+        return (matched * columns["rewards"], matched)
+
+    def _readout(self, moments: Moments) -> Readout:
+        # The mean reward over matched records: n is the match count,
+        # and Σ_matched (r − value)² = Σ (m·r − value·m)² over all
+        # records, from the centred co-moments of (m·r, m).
+        matched = moments.sums[1]
+        if matched <= 0:
             raise EstimatorError(
                 "matching estimator found no records whose logged decision "
                 "equals the new policy's decision (no overlap, cf. paper Fig 5)"
             )
-        return result_from_contributions(self.name, matched, diagnostics)
+        value = moments.sums[0] / matched
+        count = int(matched)
+        return Readout(
+            value,
+            standard_error(moments.centred_square_sum(0, 1, -value), count),
+            count,
+            {"match_count": count, "match_fraction": count / moments.count},
+        )
+
+    def _stream_finalize(self, columns: dict, n: int) -> EstimateResult:
+        return result_from_readout(
+            self.name,
+            self._readout(summarize(self._stream_terms(columns))),
+            columns["rewards"][columns["matched"]],
+        )

@@ -129,6 +129,9 @@ class SwitchDR(OffPolicyEstimator):
             contributions[kept] = contributions[kept] + weights[kept] * residuals
         return {"contributions": contributions, "weights": weights}
 
+    def _stream_terms(self, columns: dict) -> tuple:
+        return (columns["contributions"],)
+
     def _stream_finalize(self, columns: dict, n: int) -> EstimateResult:
         weights = columns["weights"]
         switched = int((weights > self._clip).sum())

@@ -41,9 +41,10 @@ class CodedSequence(Sequence):
     references, and a vectorised consumer can read :attr:`codes`
     directly instead of hashing objects per record.
 
-    Consumers that want the fast path must verify vocabulary *identity*
-    (``seq.vocabulary is my_vocabulary``) before trusting the codes;
-    value-level equality of distinct vocabularies is not checked.
+    Consumers that want the fast path must verify the vocabulary before
+    trusting the codes: identity (``seq.vocabulary is my_vocabulary``)
+    is the cheap check; :class:`~repro.live.policies.GridPolicy` also
+    accepts an element-wise equal vocabulary, compared once.
     """
 
     __slots__ = ("codes", "vocabulary", "_materialized")

@@ -1,25 +1,36 @@
 """Incremental off-policy estimator state over an unbounded stream.
 
 :class:`IncrementalEstimator` is the live twin of
-:func:`repro.store.streaming.stream_estimate`: the same three-hook
+:func:`repro.store.streaming.stream_estimate`: the same hook
 decomposition (``_stream_setup`` once, ``_stream_chunk`` per chunk,
-``_stream_finalize`` over the gathered columns), with one difference —
-the stream has no known length, so the gather buffers *grow* (capacity
-doubling) instead of being preallocated, and finalize can be asked for
-at any prefix.
+``_stream_finalize`` over the gathered columns), plus a running moment
+summary of the estimator's per-record terms
+(:class:`~repro.core.estimators.moments.MomentAccumulator`).
 
-**The pinned guarantee** (``tests/live/test_incremental_equivalence.py``):
-after observing any sequence of chunks covering records ``[0, n)``, the
-result of :meth:`IncrementalEstimator.result` is **bit-identical** to
-``stream_estimate`` (and therefore to the dense path) over those same
-``n`` records — value, std error, contributions, diagnostics.  The
-argument is the streaming engine's, unchanged: ``_stream_chunk`` columns
-are pure elementwise per-record functions, the buffers assemble them in
-stream order into the exact float64 arrays the offline engine would
-gather, and every cross-record reduction happens once, inside
-``_stream_finalize``, on those arrays.  No scalar accumulators anywhere
-— float addition is not associative, and a running ``total += chunk
-.sum()`` would diverge from the offline reduction in the last ulp.
+Two readouts, one set of bits:
+
+* :meth:`IncrementalEstimator.readout` maps the summary's block tree to
+  value and standard error in O(log n + 4096): completed 4096-record
+  blocks are never revisited.  This is what the live monitor reads after
+  every chunk.
+* :meth:`IncrementalEstimator.result` runs ``_stream_finalize`` over the
+  gather buffers (they *grow* by capacity doubling, since the stream has
+  no known length) and also returns per-record contributions and weight
+  diagnostics.  It is O(n) and serves offline verification.
+
+**The pinned guarantee** (``tests/live/test_incremental_equivalence.py``,
+``tests/core/test_moment_summary.py``): after observing any sequence of
+chunks covering records ``[0, n)``, :meth:`result` is **bit-identical**
+to ``stream_estimate`` (and therefore to the dense path) over those same
+``n`` records — value, std error, contributions, diagnostics — and
+:meth:`readout` carries the same value and std error.  Terms are pure
+elementwise functions of the ``_stream_chunk`` columns, and every path
+reduces them over the same position-keyed 4096-record blocks merged
+along the same binary-counter tree (DESIGN.md §10.3), so neither the
+chunking nor *when* a block completed can move a bit.  A running
+``total += chunk.sum()`` accumulator would not have this property:
+float addition is not associative, and its rounding would follow the
+chunk boundaries.
 
 Scope of the guarantee: it requires ``_stream_setup`` to be independent
 of the stream (true for the model-free IPS family, and for DM/DR/SNDR
@@ -31,12 +42,13 @@ mode would otherwise fit on whatever prefix existed at setup time;
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.contracts import check_trace_columns
 from repro.core.estimators.base import EstimateResult, OffPolicyEstimator
+from repro.core.estimators.moments import MomentAccumulator, Readout
 from repro.core.policy import Policy
 from repro.core.propensity import (
     PropensityModel,
@@ -82,6 +94,8 @@ class IncrementalEstimator:
         self._propensity_floor = propensity_floor
         self._source: Optional[PropensitySource] = None
         self._buffers: Optional[Dict[str, np.ndarray]] = None
+        self._summary: Optional[MomentAccumulator] = None
+        self._last_terms: Tuple[np.ndarray, ...] = ()
         self._capacity = 0
         self._length = 0
         self._chunks = 0
@@ -176,19 +190,51 @@ class IncrementalEstimator:
                 f"{estimator.name}._stream_chunk changed its column set "
                 f"mid-stream: {sorted(self._buffers)} vs {sorted(arrays)}"
             )
+        terms = tuple(
+            np.asarray(term, dtype=np.float64)
+            for term in estimator._stream_terms(arrays)
+        )
+        if any(term.shape != (size,) for term in terms):
+            raise EstimatorError(
+                f"{estimator.name}._stream_terms returned shapes "
+                f"{[term.shape for term in terms]}, expected ({size},) each"
+            )
+        if self._summary is None:
+            self._summary = MomentAccumulator(len(terms))
+        self._summary.extend(terms)
         self._ensure_capacity(cursor + size, arrays)
         for key, array in arrays.items():
             self._buffers[key][cursor : cursor + size] = array
+        self._last_terms = terms
         self._length = cursor + size
         self._chunks += 1
         return self._length
+
+    @property
+    def last_terms(self) -> Tuple[np.ndarray, ...]:
+        """The estimator's per-record terms for the last observed chunk."""
+        return self._last_terms
+
+    def readout(self) -> Readout:
+        """Value and standard error over everything observed so far.
+
+        Reads the moment summary's block tree plus the open tail block —
+        O(log n + 4096), never the gathered prefix — and equals
+        :meth:`result`'s ``value``/``std_error``/``n`` bit for bit.
+        Raises the estimator's own error where :meth:`result` would
+        (e.g. SNIPS with no overlap).
+        """
+        if self._summary is None or self._length == 0:
+            raise EstimatorError("cannot estimate from an empty stream")
+        return self._estimator._readout(self._summary.moments())
 
     def result(self, extra_diagnostics: Optional[Dict[str, Any]] = None) -> EstimateResult:
         """Finalize over everything observed so far.
 
         Runs ``_stream_finalize`` on the assembled prefix — an O(n)
-        reduction, identical to what the offline engine would run over
-        the same records.  *extra_diagnostics* entries (e.g. a store
+        pass, identical to what the offline engine would run over the
+        same records.  Use :meth:`readout` when value and standard error
+        are all you need.  *extra_diagnostics* entries (e.g. a store
         quarantine report) are attached afterwards, mirroring how
         ``stream_estimate`` decorates degraded results.
         """
@@ -207,9 +253,3 @@ class IncrementalEstimator:
         if self._buffers is None or key not in self._buffers:
             raise EstimatorError(f"no gathered column {key!r}")
         return self._buffers[key][: self._length]
-
-    def column_names(self) -> tuple:
-        """Names of the gathered per-record columns (empty before data)."""
-        if self._buffers is None:
-            return ()
-        return tuple(sorted(self._buffers))

@@ -8,9 +8,12 @@ a dict lookup.  :class:`GridPolicy` snapshots a base policy into that
 matrix form:
 
 * ``propensity_batch`` over :class:`~repro.live.chunks.CodedSequence`
-  inputs whose vocabularies are *identical* (``is``) to the policy's own
-  grid resolves as ``matrix[context_codes, decision_codes]`` — one fused
-  numpy gather for the whole chunk, the >1M records/s path.
+  inputs coded against the policy's own grid resolves as
+  ``matrix[context_codes, decision_codes]`` — one fused numpy gather for
+  the whole chunk, the >1M records/s path.  A vocabulary qualifies when
+  it *is* the policy's own, or equals it element by element (the grid of
+  another generator instance); an equal one is compared once and then
+  remembered, so later batches pay an identity check only.
 * Any other input falls back to per-element lookups against the same
   stored matrix, so fast and slow paths return the same float64 objects
   bit for bit (both *read* matrix entries; neither recomputes them).
@@ -42,10 +45,10 @@ class GridPolicy(Policy):
         Any policy; its ``probability_matrix`` over *cells* becomes the
         snapshot this policy serves forever after.
     cells:
-        The context grid, as a tuple of (interned) contexts.  Shared by
-        identity with the traffic generator's
-        :attr:`~repro.live.chunks.StreamBatch.contexts_vocabulary`, which
-        is what unlocks the coded fast path.
+        The context grid, as a tuple of (interned) contexts.  Batches
+        coded against this tuple, or an equal one (the traffic
+        generator's :attr:`~repro.live.chunks.StreamBatch.contexts_vocabulary`),
+        take the coded fast path.
     """
 
     def __init__(
@@ -62,9 +65,8 @@ class GridPolicy(Policy):
             self._decisions = self._space.decisions
         else:
             # The caller shares one vocabulary tuple across policies and
-            # stream batches; the coded fast path checks *identity*, so
-            # accepting the shared object (after a value check) is what
-            # makes the check pass.
+            # stream batches; keeping the shared object (after a value
+            # check) lets the coded fast path match it by identity.
             if tuple(decisions_vocabulary) != self._space.decisions:
                 raise PolicyError(
                     "decisions_vocabulary does not match the decision space order"
@@ -83,6 +85,20 @@ class GridPolicy(Policy):
             )
         matrix.setflags(write=False)
         self._matrix = matrix
+        # id(own vocabulary) -> the last foreign vocabulary found equal.
+        self._aliases: Dict[int, Tuple] = {}
+
+    def _coded(self, sequence: Sequence, own: Tuple) -> bool:
+        """Whether *sequence*'s codes index *own*'s rows/columns directly."""
+        if not isinstance(sequence, CodedSequence):
+            return False
+        vocabulary = sequence.vocabulary
+        if vocabulary is own or vocabulary is self._aliases.get(id(own)):
+            return True
+        if isinstance(vocabulary, tuple) and vocabulary == own:
+            self._aliases[id(own)] = vocabulary
+            return True
+        return False
 
     @property
     def cells(self) -> Tuple[ClientContext, ...]:
@@ -121,11 +137,8 @@ class GridPolicy(Policy):
         bit-identical; only the addressing differs (codes vs hashed
         lookups).
         """
-        if (
-            isinstance(contexts, CodedSequence)
-            and isinstance(decisions, CodedSequence)
-            and contexts.vocabulary is self._cells
-            and decisions.vocabulary is self._decisions
+        if self._coded(contexts, self._cells) and self._coded(
+            decisions, self._decisions
         ):
             return self._matrix[contexts.codes, decisions.codes]
         if len(decisions) != len(contexts):
@@ -148,10 +161,7 @@ class GridPolicy(Policy):
 
     def probability_matrix(self, contexts: Sequence[ClientContext]) -> np.ndarray:
         """``mu(d | c_k)`` rows gathered from the snapshot."""
-        if (
-            isinstance(contexts, CodedSequence)
-            and contexts.vocabulary is self._cells
-        ):
+        if self._coded(contexts, self._cells):
             return self._matrix[contexts.codes]
         rows = np.fromiter(
             (self._row(context) for context in contexts),
@@ -164,8 +174,8 @@ class GridPolicy(Policy):
 def grid_cells(space: DecisionSpace) -> Tuple[Decision, ...]:
     """The decision vocabulary a :class:`GridPolicy` codes against.
 
-    Thin alias for ``space.decisions`` so call sites spell out that
-    vocabulary *identity* (not just equality) is what the coded fast
-    path checks.
+    Thin alias for ``space.decisions`` so call sites spell out which
+    vocabulary the coded fast path matches (by identity first, then by
+    a one-time value comparison).
     """
     return space.decisions

@@ -11,17 +11,16 @@ observed, and live observability gauges.  Feed it chunks — from
 the streaming chunk contract — and read a :class:`WatchReport` whenever
 you like; anytime validity is the confidence sequences' job.
 
-Confidence-sequence terms are derived from the estimator's own gathered
-stream columns (DESIGN.md §13):
-
-* ``{weights, rewards}`` → per-record ``w·r`` terms; self-normalised
-  estimators (``snips``) instead get a
-  :class:`~repro.live.confidence.RatioConfidenceSequence` over
-  ``(w·r, w)``.
-* ``{dm_terms, weights, residuals}`` → ``dm + w·resid`` (for ``sndr``
-  this brackets the unnormalised DR surrogate — the documented caveat).
-* ``{matched, rewards}`` → ratio sequence over ``(matched·r, matched)``.
-* ``{contributions}`` (plus extras) → the contributions themselves.
+Confidence sequences are fed the estimator's own per-record terms
+(``_confidence_terms`` over ``_stream_terms``, DESIGN.md §14) — the same
+terms whose moments give the reported value, so the interval brackets
+the quantity the watch reports: one term (IPS ``w·r``, clipped IPS
+``min(w, c)·r``, DM/DR/SWITCH contributions) makes a
+:class:`~repro.live.confidence.ConfidenceSequence`, a ``(numerator,
+denominator)`` pair (SNIPS ``(w·r, w)``, matching ``(matched·r,
+matched)``) a :class:`~repro.live.confidence.RatioConfidenceSequence`.
+SNDR's sequence brackets the unnormalised DR surrogate ``dm + w·res`` —
+the documented caveat.
 
 Metrics (all under the ``live.`` namespace, recorded when an
 ``repro.obs`` recorder is active): ``live.ingest.records`` counter,
@@ -52,16 +51,11 @@ from repro.live.incremental import IncrementalEstimator
 from repro.obs.spans import increment, observe, recording, set_gauge
 from repro.store.format import ShardWriter
 
-#: Estimators whose ``{weights, rewards}`` columns feed a ratio CS.
-SELF_NORMALIZED_NAMES = frozenset({"snips"})
-
-
 class PolicyMonitor:
     """One policy's live state: incremental estimator + confidence sequence.
 
-    The CS attaches lazily on the first chunk (term shape depends on the
-    estimator's gathered column set, unknown until ``_stream_chunk`` has
-    run once).
+    The CS attaches on the first chunk, shaped by the estimator's
+    confidence terms (one array: a mean; two: a ratio).
     """
 
     def __init__(
@@ -82,58 +76,26 @@ class PolicyMonitor:
             Union[ConfidenceSequence, RatioConfidenceSequence]
         ] = None
 
-    def _make_sequence(
-        self, columns: frozenset
-    ) -> Union[ConfidenceSequence, RatioConfidenceSequence]:
-        name = self.incremental.estimator.name
-        if columns >= {"weights", "rewards"}:
-            if name in SELF_NORMALIZED_NAMES:
-                return RatioConfidenceSequence(self.alpha)
-            return ConfidenceSequence(self.alpha)
-        if columns >= {"dm_terms", "weights", "residuals"}:
-            return ConfidenceSequence(self.alpha)
-        if columns >= {"matched", "rewards"}:
-            return RatioConfidenceSequence(self.alpha)
-        if "contributions" in columns:
-            return ConfidenceSequence(self.alpha)
-        raise EstimatorError(
-            f"no confidence-sequence mapping for {name} columns "
-            f"{sorted(columns)}"
-        )
-
-    def _chunk_terms(self, before: int, after: int):
-        """The CS update terms for the records ``[before, after)``."""
-        inc = self.incremental
-        columns = frozenset(inc.column_names())
-        sl = slice(before, after)
-        if columns >= {"weights", "rewards"}:
-            weights = inc.column_prefix("weights")[sl]
-            rewards = inc.column_prefix("rewards")[sl]
-            if isinstance(self._sequence, RatioConfidenceSequence):
-                return (weights * rewards, weights)
-            return (weights * rewards,)
-        if columns >= {"dm_terms", "weights", "residuals"}:
-            dm = inc.column_prefix("dm_terms")[sl]
-            weights = inc.column_prefix("weights")[sl]
-            residuals = inc.column_prefix("residuals")[sl]
-            return (dm + weights * residuals,)
-        if columns >= {"matched", "rewards"}:
-            matched = inc.column_prefix("matched")[sl]
-            rewards = inc.column_prefix("rewards")[sl]
-            return (matched * rewards, matched)
-        return (inc.column_prefix("contributions")[sl],)
-
     def observe(self, chunk) -> None:
         """Fold one chunk into the estimator and confidence sequence."""
         before = self.incremental.n
-        after = self.incremental.observe_chunk(chunk)
-        if after == before:
+        if self.incremental.observe_chunk(chunk) == before:
             return
+        terms = self.incremental.estimator._confidence_terms(
+            self.incremental.last_terms
+        )
         if self._sequence is None:
-            self._sequence = self._make_sequence(
-                frozenset(self.incremental.column_names())
-            )
-        self._sequence.update(*self._chunk_terms(before, after))
+            if len(terms) == 1:
+                self._sequence = ConfidenceSequence(self.alpha)
+            elif len(terms) == 2:
+                self._sequence = RatioConfidenceSequence(self.alpha)
+            else:
+                raise EstimatorError(
+                    f"{self.incremental.estimator.name} declares "
+                    f"{len(terms)} confidence terms; expected 1 (a mean) "
+                    "or 2 (a ratio)"
+                )
+        self._sequence.update(*terms)
 
     @property
     def n(self) -> int:
@@ -159,15 +121,21 @@ class PolicyMonitor:
         return self._sequence.width()
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-ready per-policy summary for the watch report."""
-        result = self.result()
+        """JSON-ready per-policy summary for the watch report.
+
+        Reads the moment summary (:meth:`IncrementalEstimator.readout`),
+        never the gathered prefix, so a snapshot costs the same at every
+        stream length; its value and standard error equal
+        :meth:`result`'s bit for bit.
+        """
+        readout = self.incremental.readout()
         lower, upper = self.interval()
         return {
             "estimator": self.incremental.estimator.name,
             "n": self.n,
             "chunks": self.incremental.chunks,
-            "value": result.value,
-            "std_error": result.std_error,
+            "value": readout.value,
+            "std_error": readout.std_error,
             "cs_alpha": self.alpha,
             "cs_lower": lower,
             "cs_upper": upper,

@@ -159,7 +159,8 @@ def run_server(
             print(
                 f"repro serve: listening on http://{bound_host}:{bound_port} "
                 f"({len(catalog.names())} trace(s): "
-                f"{', '.join(catalog.names())})"
+                f"{', '.join(catalog.names())})",
+                flush=True,
             )
         async with server:
             await server.serve_forever()
@@ -167,7 +168,7 @@ def run_server(
     try:
         asyncio.run(main())
     except KeyboardInterrupt:
-        print("repro serve: shutting down")
+        print("repro serve: shutting down", flush=True)
 
 
 class BackgroundServer:

@@ -127,7 +127,8 @@ class LiveTrafficGenerator:
 
         space = self.workload.space()
         self.space = space
-        #: Shared vocabulary tuples — batch fast paths check *identity*.
+        #: Shared vocabulary tuples — batch fast paths match them by
+        #: identity (an equal tuple is compared once, then remembered).
         self.decisions_vocabulary: Tuple = space.decisions
         self.cells: Tuple[ClientContext, ...] = self._build_cells()
         self.feature_names = tuple(sorted(self.workload.feature_names))

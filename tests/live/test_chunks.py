@@ -120,6 +120,32 @@ class TestGridPolicy:
         fallback = policy.propensity_batch(foreign, columns.contexts)
         np.testing.assert_array_equal(fast, fallback)
 
+    def test_equal_vocabulary_of_another_generator_is_coded(
+        self, generator, batch, monkeypatch
+    ):
+        # Policies built from one generator valuing the stream of
+        # another (same workload): the vocabularies are equal but not
+        # identical, and the gather must still be one coded lookup.
+        policy = LiveTrafficGenerator(seed=14, chunk_records=256).candidate_policy(1)
+        columns = batch.columns()
+        assert columns.contexts.vocabulary is not policy.cells
+        slow = policy.propensity_batch(
+            list(columns.decisions), list(columns.contexts)
+        )
+        slow_matrix = policy.probability_matrix(list(columns.contexts))
+
+        def refuse(context):
+            raise AssertionError("per-record lookup on a coded batch")
+
+        monkeypatch.setattr(policy, "_row", refuse)
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                policy.propensity_batch(columns.decisions, columns.contexts), slow
+            )
+            np.testing.assert_array_equal(
+                policy.probability_matrix(columns.contexts), slow_matrix
+            )
+
     def test_unknown_context_is_an_error(self, generator):
         from repro.core.types import ClientContext
 

@@ -327,34 +327,66 @@ class TestErrors:
         assert _counter(server, "serve.request.rejected") == before + 1
 
 
+def _spawn_cli_server(tmp_path, unbuffered: bool) -> subprocess.Popen:
+    """Start `repro serve --port 0` on a small flat trace, stdout piped."""
+    flat_path = tmp_path / "flat.jsonl"
+    make_uniform_trace(
+        core.DecisionSpace(["a", "b", "c"]),
+        lambda c, d: {"a": 1.0, "b": 2.0, "c": 3.0}[d],
+        np.random.default_rng(5),
+        n=30,
+    ).to_jsonl(str(flat_path))
+    registry_path = tmp_path / "registry.json"
+    registry_path.write_text(
+        json.dumps({"traces": {"flat": {"path": str(flat_path)}}})
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", str(registry_path),
+         "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+
+
 class TestShutdown:
+    def test_listening_line_reaches_a_pipe_without_unbuffered_mode(
+        self, tmp_path
+    ):
+        # A supervisor learns the ephemeral port from the first stdout
+        # line; it must arrive while the server runs, not at exit.
+        import selectors
+
+        process = _spawn_cli_server(tmp_path, unbuffered=False)
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(process.stdout, selectors.EVENT_READ)
+                ready = selector.select(timeout=30)
+            assert ready, "no 'listening on' line within 30 s"
+            line = process.stdout.readline()
+            assert "listening on http://" in line
+            process.send_signal(signal.SIGINT)
+            stdout, _ = process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0
+        assert "shutting down" in stdout
+
     def test_sigint_with_open_keep_alive_connection_logs_no_error(
         self, tmp_path
     ):
         # `repro serve` as an operator runs it: Ctrl-C while a dashboard
         # client still holds its keep-alive connection open.
-        flat_path = tmp_path / "flat.jsonl"
-        make_uniform_trace(
-            core.DecisionSpace(["a", "b", "c"]),
-            lambda c, d: {"a": 1.0, "b": 2.0, "c": 3.0}[d],
-            np.random.default_rng(5),
-            n=30,
-        ).to_jsonl(str(flat_path))
-        registry_path = tmp_path / "registry.json"
-        registry_path.write_text(
-            json.dumps({"traces": {"flat": {"path": str(flat_path)}}})
-        )
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        env = dict(os.environ, PYTHONUNBUFFERED="1")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", str(registry_path),
-             "--port", "0"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-            text=True,
-        )
+        process = _spawn_cli_server(tmp_path, unbuffered=True)
         try:
             found = re.search(
                 r"http://([0-9.]+):([0-9]+)", process.stdout.readline()
